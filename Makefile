@@ -8,9 +8,9 @@ BENCH_OUT ?= BENCH_$(DATE).json
 # The steady-state data-path benchmarks that must report 0 allocs/op.
 ZERO_ALLOC_BENCHES := LinkSend$$|ForwardUnicastHit$$|EndToEndEcho$$
 
-.PHONY: check build vet test race fuzz bench bench-alloc bench-gate bench-shard bench-mgr bench-ft bench-json bench-diff profile docs-lint report-golden
+.PHONY: check build vet test race fuzz bench bench-alloc bench-gate bench-mgr bench-ft bench-json bench-diff profile docs-lint report-golden
 
-check: vet build docs-lint test race fuzz bench bench-alloc bench-gate bench-shard bench-mgr bench-ft
+check: vet build docs-lint test race fuzz bench bench-alloc bench-gate bench-mgr bench-ft
 
 # Documentation gate: every exported identifier in the observability
 # surface (obs, metrics, trace), the workload/topology/control-message
@@ -25,12 +25,7 @@ docs-lint:
 # checked-in Fig. 9 and scenario-replay reports must round-trip
 # byte-identically and a fresh replay must reproduce each — the
 # scenario golden is the determinism gate for the `-exp sc` fault
-# engine (same seed, byte-identical report, serial or parallel). The
-# pattern also matches the *Sharded variants, which replay the same
-# cells on a sharded engine against the same goldens: there is no
-# separate "sharded golden", byte-identity to the serial report IS the
-# sharded engine's contract (the k=4/k=48 trace gates live in
-# internal/core/shard_test.go and run under `make test` and -race).
+# engine (same seed, byte-identical report, serial or parallel).
 # Regenerate with:
 #   go test ./internal/experiments -run Golden -update
 report-golden:
@@ -89,38 +84,15 @@ bench-gate:
 	$(GO) run ./cmd/benchjson -gate $(GATE_BASELINE) -gate-tolerance $(GATE_TOLERANCE) < bench-gate.out
 	rm -f bench-gate.out
 
-# Sharded-engine regression gate: boot-to-discovery wall time at k=48
-# and k=64 across engine-shard counts, gated against the committed
-# baseline. Multi-second boots are noisier than the microbenchmark
-# gate, so the wall-time band is wider, and allocation counts get 2%
-# slack (boot-scale counts jitter by a few ppm with map growth and
-# stack resizing). The baseline's num_cpu/gomaxprocs fields and the
-# per-row workers metric record how much parallelism the run actually
-# had — on a single-core host the sharded rows measure partition
-# overhead, not speedup. The pairwise baseline also records the epoch
-# planner's deterministic epochs/barriers/skips metrics: the
-# planner=global rows rerun the 8-shard boots under the global-minimum
-# reference planner, pinning the pairwise planner's barrier savings
-# (k=48: 34k vs 132k wakeups per shard; k=64: 77k vs 227k). The planner
-# differential identity tests (TestPlannerDifferentialIdentity,
-# TestShardPlannerDifferential) run under `make test` and `make race`.
-BENCH_SHARD_BASELINE ?= BENCH_2026-08-09-pairwise.json
-bench-shard:
-	$(GO) test -bench ShardedBoot -benchtime 1x -benchmem -run '^$$' \
-		./internal/core > bench-shard.out
-	$(GO) run ./cmd/benchjson -gate $(BENCH_SHARD_BASELINE) \
-		-gate-tolerance 0.50 -gate-alloc-tolerance 0.02 < bench-shard.out
-	rm -f bench-shard.out
-
 # Manager benchmark gate: wall-clock ARP service rate against a
 # prefix-sharded registry (resolutions/s vs shard count and registry
 # size), exclusion fan-out latency vs shard count (must stay flat —
 # shard 0 alone carries the route authority), and the sampled-trace
 # replay rate (its `flows` metric names the per-iteration sample size).
-# Same honesty rule as bench-shard: the baseline's num_cpu/gomaxprocs
-# fields and the per-row workers metric record how much parallelism the
-# run had — on a single-core host the sharded ARP rows measure cache
-# locality and partition overhead, not fan-out speedup.
+# The baseline's num_cpu/gomaxprocs fields and the per-row workers
+# metric record how much parallelism the run had — on a single-core
+# host the sharded ARP rows measure cache locality and partition
+# overhead, not fan-out speedup.
 BENCH_MGR_BASELINE ?= BENCH_2026-08-09-mgr.json
 bench-mgr:
 	$(GO) test -bench 'MgrARPThroughput|FaultFanout|TraceWorkload' \

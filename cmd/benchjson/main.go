@@ -18,11 +18,10 @@
 //
 // prints a per-benchmark comparison of ns/op and allocs/op between two
 // baselines (matching names with the -GOMAXPROCS suffix stripped),
-// with a shards column for benchmarks that report an engine- or
-// registry-shard count, a flows column for workload benchmarks that
-// report their per-iteration sampled-flow count, and epochs/skips
-// columns for sharded-engine benchmarks that report the epoch
-// planner's synchronization counters, and
+// with a shards column for benchmarks that report a registry-shard
+// count, a flows column for workload benchmarks that report their
+// per-iteration sampled-flow count, and an occ column for bounded-table
+// benchmarks that report their occupancy, and
 //
 //	go test -bench ... -benchmem | benchjson -assert-zero-allocs 'regexp'
 //
@@ -266,15 +265,15 @@ func diffLines(oldRep, newRep report) []string {
 		oldBy[normName(b.Name)] = b
 	}
 	seen := make(map[string]bool)
-	out := []string{fmt.Sprintf("%-52s %6s %7s %5s %8s %8s %12s %12s %8s  %10s %10s",
-		"benchmark", "shards", "flows", "occ", "epochs", "skips", "old ns/op", "new ns/op", "delta", "old allocs", "new allocs")}
+	out := []string{fmt.Sprintf("%-52s %6s %7s %5s %12s %12s %8s  %10s %10s",
+		"benchmark", "shards", "flows", "occ", "old ns/op", "new ns/op", "delta", "old allocs", "new allocs")}
 	for _, nb := range newRep.Benchmarks {
 		name := normName(nb.Name)
 		seen[name] = true
 		ob, ok := oldBy[name]
 		if !ok {
-			out = append(out, fmt.Sprintf("%-52s %6s %7s %5s %8s %8s %12s %12.1f %8s  %10s %10g",
-				name, metricCol(nb, "shards"), metricCol(nb, "flows"), metricCol(nb, "occupancy"), metricCol(nb, "epochs"), metricCol(nb, "skips"), "-", nb.Metrics["ns/op"], "added", "-", nb.Metrics["allocs/op"]))
+			out = append(out, fmt.Sprintf("%-52s %6s %7s %5s %12s %12.1f %8s  %10s %10g",
+				name, metricCol(nb, "shards"), metricCol(nb, "flows"), metricCol(nb, "occupancy"), "-", nb.Metrics["ns/op"], "added", "-", nb.Metrics["allocs/op"]))
 			continue
 		}
 		oldNs, newNs := ob.Metrics["ns/op"], nb.Metrics["ns/op"]
@@ -282,24 +281,23 @@ func diffLines(oldRep, newRep report) []string {
 		if oldNs > 0 {
 			delta = fmt.Sprintf("%+.1f%%", (newNs-oldNs)/oldNs*100)
 		}
-		out = append(out, fmt.Sprintf("%-52s %6s %7s %5s %8s %8s %12.1f %12.1f %8s  %10g %10g",
-			name, metricCol(nb, "shards"), metricCol(nb, "flows"), metricCol(nb, "occupancy"), metricCol(nb, "epochs"), metricCol(nb, "skips"), oldNs, newNs, delta, ob.Metrics["allocs/op"], nb.Metrics["allocs/op"]))
+		out = append(out, fmt.Sprintf("%-52s %6s %7s %5s %12.1f %12.1f %8s  %10g %10g",
+			name, metricCol(nb, "shards"), metricCol(nb, "flows"), metricCol(nb, "occupancy"), oldNs, newNs, delta, ob.Metrics["allocs/op"], nb.Metrics["allocs/op"]))
 	}
 	for _, ob := range oldRep.Benchmarks {
 		name := normName(ob.Name)
 		if !seen[name] {
-			out = append(out, fmt.Sprintf("%-52s %6s %7s %5s %8s %8s %12.1f %12s %8s  %10g %10s",
-				name, metricCol(ob, "shards"), metricCol(ob, "flows"), metricCol(ob, "occupancy"), metricCol(ob, "epochs"), metricCol(ob, "skips"), ob.Metrics["ns/op"], "-", "removed", ob.Metrics["allocs/op"], "-"))
+			out = append(out, fmt.Sprintf("%-52s %6s %7s %5s %12.1f %12s %8s  %10g %10s",
+				name, metricCol(ob, "shards"), metricCol(ob, "flows"), metricCol(ob, "occupancy"), ob.Metrics["ns/op"], "-", "removed", ob.Metrics["allocs/op"], "-"))
 		}
 	}
 	return out
 }
 
 // metricCol renders one of the benchmark's self-reported dimension
-// metrics (the engine/registry `shards` count, the workload `flows`
-// count, the bounded flow-table `occupancy` fraction, the epoch
-// planner's `epochs`/`skips` counters), "-" for benchmarks that do
-// not report it.
+// metrics (the registry `shards` count, the workload `flows` count,
+// the bounded flow-table `occupancy` fraction), "-" for benchmarks
+// that do not report it.
 func metricCol(b benchmark, key string) string {
 	v, ok := b.Metrics[key]
 	if !ok {

@@ -40,16 +40,29 @@ func main() {
 	if *statsIvl > 0 {
 		go func() {
 			for range time.Tick(*statsIvl) {
-				log.Printf("stats: hosts=%d %+v", mgr.NumHosts(), mgr.Stats)
+				log.Printf("stats: %s", statsLine(mgr))
 			}
 		}()
 	}
+	if err := acceptLoop(mgr, ln); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+	}
+}
 
+// statsLine formats one stats report. It reads the manager only through
+// its locked accessors, so it is safe while sessions are running.
+func statsLine(mgr *fabricmgr.Manager) string {
+	return fmt.Sprintf("hosts=%d %+v", mgr.NumHosts(), mgr.StatsSnapshot())
+}
+
+// acceptLoop serves every switch connection ln accepts on its own
+// session goroutine, until Accept fails (for instance because ln was
+// closed), and returns that error.
+func acceptLoop(mgr *fabricmgr.Manager, ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
+			return err
 		}
 		go serve(mgr, conn)
 	}

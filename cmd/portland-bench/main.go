@@ -11,8 +11,6 @@
 //	portland-bench -quick          # reduced trial counts (CI-sized)
 //	portland-bench -parallel 4     # worker-pool size (0 = GOMAXPROCS)
 //	portland-bench -serial         # force one worker (escape hatch)
-//	portland-bench -shards 8       # engine shards per fabric (same output)
-//	portland-bench -shards 8 -synccounters  # add sync.* engine counters to reports
 //	portland-bench -cpuprofile cpu.prof -memprofile mem.prof
 //	portland-bench -reports out/   # also write <id>-report.json per experiment
 package main
@@ -53,8 +51,6 @@ func run() int {
 		quick      = flag.Bool("quick", false, "reduced trial counts")
 		parallel   = flag.Int("parallel", 0, "sweep worker-pool size (0 = GOMAXPROCS)")
 		serial     = flag.Bool("serial", false, "run sweeps on one worker (same output, for bisecting)")
-		shards     = flag.Int("shards", 0, "engine shards per fabric (0/1 = serial); output is byte-identical at every value")
-		syncCtrs   = flag.Bool("synccounters", false, "report the engine domain's sync.* counters (epoch planner barriers/skips) per cell")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		reports    = flag.String("reports", "", "directory for per-experiment <id>-report.json files")
@@ -66,8 +62,6 @@ func run() int {
 	} else {
 		runner.SetWorkers(*parallel)
 	}
-	experiments.SetDefaultShards(*shards)
-	experiments.SetDefaultSyncCounters(*syncCtrs)
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {

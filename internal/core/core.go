@@ -57,31 +57,6 @@ type Options struct {
 	// Detect arms every switch's gray-failure detector (default: off,
 	// Interval 0 — byte-identical behavior to a build without one).
 	Detect graydetect.Config
-	// Shards partitions the fabric across engine shards: shard 0 holds
-	// the core bank and the control plane, the remaining shards each
-	// hold whole pods (see topo.Partition), advancing in lockstep
-	// epochs bounded by the minimum cross-shard link delay. Any value
-	// <= 1 means one shard — and because a one-shard domain runs the
-	// identical code path, a sharded run is byte-identical to the
-	// serial run for the same seed (gated by TestShardIdentity and the
-	// sharded experiment goldens).
-	Shards int
-	// ShardWeight, when non-nil, scores each node's expected event
-	// rate for the shard partitioner (see topo.PartitionWeighted):
-	// pods pack by summed node weight instead of node count, so a
-	// blueprint whose pods are equal-sized but unequally busy (e.g.
-	// trace workloads pinned to a few racks) still balances. Nil keeps
-	// the count-based default. The hook changes only which shard a pod
-	// lands on, never the simulation's event order — any partition is
-	// byte-identical to serial.
-	ShardWeight topo.WeightFunc
-	// SyncCounters, when true, adds the engine domain's
-	// synchronization counters (planner epochs, per-shard
-	// barriers/skips, mailbox traffic) to ObsCounters under "sync.*"
-	// keys. Off by default so sharded replay reports stay
-	// byte-identical to the serial goldens — synchronization cost is
-	// an engine property, not a fabric behavior.
-	SyncCounters bool
 	// MgrShards partitions the fabric manager's IP→PMAC registry by
 	// address prefix across N manager replicas (see ctrlmsg.ShardOfIP).
 	// Shard 0 keeps the route authority — pod numbering, fault matrix,
@@ -147,15 +122,12 @@ func (o Options) withDefaults() Options {
 
 // Fabric is a running PortLand deployment.
 type Fabric struct {
-	// Dom is the engine domain the fabric runs on: one shard in the
-	// default serial configuration, Options.Shards in a sharded one.
-	Dom *sim.Domain
-	// Eng is shard 0's engine — the control-plane shard. It is the
-	// clock authority between runs and the home of the experiment
-	// driver's PRNG (Eng.Rand()); driver code that needs mid-run
-	// events must use Sched() instead, which is safe on every shard
-	// layout.
-	Eng  *sim.Engine
+	// Eng is the engine the whole fabric runs on. Its root PRNG
+	// (Eng.Rand()) is the experiment driver's; driver code that needs
+	// mid-run events uses Sched() instead.
+	Eng *sim.Engine
+	// Dom is the same engine as Eng, kept under its original name.
+	Dom  *sim.Engine
 	Spec *topo.Spec
 	Opts Options
 	// Manager is registry shard 0, the route authority (== Mgrs[0]).
@@ -201,8 +173,9 @@ type Fabric struct {
 	hbPrimary []*ctrlnet.SimConn
 
 	byName map[string]topo.NodeID
-	// engOf maps each blueprint node to the engine shard it lives on.
-	engOf []*sim.Engine
+	// drv is the driver stream behind Sched(), allocated first so it
+	// holds rank 1.
+	drv *sim.Proc
 }
 
 // NewFatTree builds (but does not start) a k-ary fat-tree fabric.
@@ -217,15 +190,14 @@ func NewFatTree(k int, opts Options) (*Fabric, error) {
 // Build wires a fabric from an arbitrary blueprint.
 func Build(spec *topo.Spec, opts Options) *Fabric {
 	opts = opts.withDefaults()
-	assign, nShards := topo.PartitionWeighted(spec, opts.Shards, opts.ShardWeight)
-	dom := sim.NewDomain(opts.Seed, nShards)
+	eng := sim.New(opts.Seed)
 	nMgr := opts.MgrShards
 	if nMgr < 1 {
 		nMgr = 1
 	}
 	f := &Fabric{
-		Dom:      dom,
-		Eng:      dom.Engine(0),
+		Eng:      eng,
+		Dom:      eng,
 		Spec:     spec,
 		Opts:     opts,
 		Mgrs:     make([]*fabricmgr.Manager, nMgr),
@@ -234,13 +206,10 @@ func Build(spec *topo.Spec, opts Options) *Fabric {
 		ctrl:     make(map[topo.NodeID]*ctrlPair),
 		byName:   make(map[string]topo.NodeID),
 		Obs:      obs.NewRegistry(),
-		engOf:    make([]*sim.Engine, len(spec.Nodes)),
+		drv:      eng.NewProc(),
 		mgrDown:  make([]bool, nMgr),
 		tookOver: make([]bool, nMgr),
 		lastBeat: make([]time.Duration, nMgr),
-	}
-	for _, n := range spec.Nodes {
-		f.engOf[n.ID] = dom.Engine(assign[n.ID])
 	}
 	f.jFabric = f.Obs.Journal("fabric", 128, f.Eng.Now)
 	for i := range f.Mgrs {
@@ -260,7 +229,6 @@ func Build(spec *topo.Spec, opts Options) *Fabric {
 	hostIdx := 0
 	for _, n := range spec.Nodes {
 		f.byName[n.Name] = n.ID
-		eng := f.engOf[n.ID]
 		switch n.Level {
 		case topo.Host:
 			mac := HostMAC(hostIdx)
@@ -287,8 +255,7 @@ func Build(spec *topo.Spec, opts Options) *Fabric {
 		// A link annotated with a rate class (by Options.Speeds or by the
 		// blueprint itself) serializes at that class's line rate; the
 		// rest of the physical config comes from the fabric-wide base.
-		l := dom.Connect(f.engOf[ls.A.Node], f.engOf[ls.B.Node], an, ls.A.Port, bn, ls.B.Port,
-			opts.Link.WithRate(ls.Class.BitsPerSecond()))
+		l := sim.Connect(eng, an, ls.A.Port, bn, ls.B.Port, opts.Link.WithRate(ls.Class.BitsPerSecond()))
 		if opts.WireCheck {
 			l := l
 			l.Tap = func(frame *ether.Frame) {
@@ -302,11 +269,11 @@ func Build(spec *topo.Spec, opts Options) *Fabric {
 	return f
 }
 
-// Sched returns the fabric-wide scheduling surface: events scheduled
-// through it run with every shard parked at the same instant, so
-// drivers (fault injection, scenario brackets, measurement tickers)
-// may touch any node regardless of the shard layout.
-func (f *Fabric) Sched() sim.Sched { return f.Dom }
+// Sched returns the driver stream: the scheduling surface for fault
+// injection, scenario brackets and measurement tickers. Its events and
+// coins are keyed apart from every node's, so driver activity never
+// perturbs a node's own streams.
+func (f *Fabric) Sched() sim.Sched { return f.drv }
 
 // LossyLink returns the default link configuration with a per-frame
 // random loss probability — protocol-robustness tests build fabrics
@@ -343,16 +310,16 @@ func (f *Fabric) Start() {
 	}
 }
 
-// RunFor advances virtual time by d across every shard.
-func (f *Fabric) RunFor(d time.Duration) { f.Dom.RunUntil(f.Dom.Now() + d) }
+// RunFor advances virtual time by d.
+func (f *Fabric) RunFor(d time.Duration) { f.Eng.RunUntil(f.Eng.Now() + d) }
 
 // AwaitDiscovery runs the simulation until every switch has resolved
 // its location, or returns an error at the deadline.
 func (f *Fabric) AwaitDiscovery(limit time.Duration) error {
-	deadline := f.Dom.Now() + limit
+	deadline := f.Eng.Now() + limit
 	step := 5 * time.Millisecond
-	for f.Dom.Now() < deadline {
-		f.Dom.RunUntil(minDur(f.Dom.Now()+step, deadline))
+	for f.Eng.Now() < deadline {
+		f.Eng.RunUntil(min(f.Eng.Now()+step, deadline))
 		if f.AllResolved() {
 			return nil
 		}
@@ -364,13 +331,6 @@ func (f *Fabric) AwaitDiscovery(limit time.Duration) error {
 		}
 	}
 	return fmt.Errorf("location discovery incomplete after %v: %v", limit, unresolved)
-}
-
-func minDur(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // AllResolved reports whether every live switch finished discovery.
@@ -607,10 +567,9 @@ func (f *Fabric) CapturePcap(name string, w io.Writer) (*trace.PcapWriter, error
 	if err != nil {
 		return nil, err
 	}
-	swEng := f.engOf[f.byName[name]]
 	ok := f.TapSwitch(name, func(_ int, frame *ether.Frame, egress bool) {
 		if !egress { // capture each frame once, on ingress
-			_ = pw.WriteFrame(swEng.Now(), frame)
+			_ = pw.WriteFrame(f.Eng.Now(), frame)
 		}
 	})
 	if !ok {

@@ -13,7 +13,6 @@ import (
 	"portland/internal/fabricmgr"
 	"portland/internal/obs"
 	"portland/internal/pswitch"
-	"portland/internal/sim"
 	"portland/internal/topo"
 )
 
@@ -84,12 +83,9 @@ func setCtrlHandler(c ctrlnet.Conn, h ctrlnet.Handler) {
 	}
 }
 
-// ctrlPipe wires one switch↔manager pipe: the switch end lives on the
-// switch's shard, the manager end on the control shard (0). On a
-// sharded fabric the pipe delay becomes a lookahead bound like any
-// cross-shard link.
-func (f *Fabric) ctrlPipe(swEng *sim.Engine) (raw1, raw2 *ctrlnet.SimConn) {
-	return ctrlnet.SimPipeDom(f.Dom, swEng, f.Eng, ctrlnet.PipeConfig{
+// ctrlPipe wires one switch↔manager control pipe.
+func (f *Fabric) ctrlPipe() (raw1, raw2 *ctrlnet.SimConn) {
+	return ctrlnet.SimPipe(f.Eng, ctrlnet.PipeConfig{
 		Delay:    f.Opts.CtrlDelay,
 		LossRate: f.Opts.CtrlLoss,
 	})
@@ -102,7 +98,7 @@ func (f *Fabric) wireControl(id topo.NodeID, sw *pswitch.Switch) {
 	p := &ctrlPair{}
 	conns := make([]ctrlnet.Conn, n)
 	for i := 0; i < n; i++ {
-		swRaw, mgrRaw := f.ctrlPipe(f.engOf[id])
+		swRaw, mgrRaw := f.ctrlPipe()
 		swConn, mgrConn := f.wrapCtrl(swRaw), f.wrapCtrl(mgrRaw)
 		setCtrlHandler(swConn, sw.CtrlHandlerFor(i))
 		sess := f.Mgrs[i].NewSession(mgrConn)
@@ -115,7 +111,7 @@ func (f *Fabric) wireControl(id topo.NodeID, sw *pswitch.Switch) {
 	}
 	if f.Standbys != nil {
 		for i := 0; i < n; i++ {
-			sbSwRaw, sbMgrRaw := f.ctrlPipe(f.engOf[id])
+			sbSwRaw, sbMgrRaw := f.ctrlPipe()
 			sbSwConn, sbMgrConn := f.wrapCtrl(sbSwRaw), f.wrapCtrl(sbMgrRaw)
 			setCtrlHandler(sbSwConn, sw.CtrlHandlerFor(i))
 			sbSess := f.Standbys[i].NewSession(sbMgrConn)
@@ -145,7 +141,7 @@ func (f *Fabric) wireStandby() {
 		sb.SetPassive(true)
 		sb.SetJournal(f.Obs.Journal(standbyName(i), 2048, f.Eng.Now))
 		f.Standbys[i] = sb
-		hbP, hbS := ctrlnet.SimPipeDom(f.Dom, f.Eng, f.Eng, ctrlnet.PipeConfig{Delay: f.Opts.CtrlDelay})
+		hbP, hbS := ctrlnet.SimPipe(f.Eng, ctrlnet.PipeConfig{Delay: f.Opts.CtrlDelay})
 		f.hbPrimary[i] = hbP
 		hbS.SetHandler(func(m ctrlmsg.Msg) {
 			if _, ok := m.(ctrlmsg.Heartbeat); ok {

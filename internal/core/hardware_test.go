@@ -18,7 +18,7 @@ import (
 // returns a per-switch signature of everything the hardware model
 // decided: flow-table hit/miss/install/evict counts, live occupancy,
 // and group-table charge state.
-func evictionTrace(t *testing.T, shards int, policy flowtable.Policy) string {
+func evictionTrace(t *testing.T, policy flowtable.Policy) string {
 	t.Helper()
 	gen := pswitch.Generation{
 		Name:        "tiny",
@@ -29,17 +29,15 @@ func evictionTrace(t *testing.T, shards int, policy flowtable.Policy) string {
 	}
 	f, err := NewFatTree(4, Options{
 		Seed:     7,
-		Shards:   shards,
 		Speeds:   topo.DataCenterSpeeds,
 		Hardware: Uniform(gen),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Dom.SetWorkers(f.Dom.Shards())
 	f.Start()
 	if err := f.AwaitDiscovery(10 * time.Second); err != nil {
-		t.Fatalf("shards=%d: %v", shards, err)
+		t.Fatal(err)
 	}
 	// Every host resolving 8 peers pushes far more than 8 distinct
 	// flow keys through each edge table: the envelope must evict.
@@ -61,26 +59,35 @@ func evictionTrace(t *testing.T, shards int, policy flowtable.Policy) string {
 			sw.FlowTable().Len(), rs.GroupsLive, rs.MembersUsed, rs.Degrades)
 	}
 	if evictions == 0 {
-		t.Fatalf("shards=%d policy=%v: workload produced no evictions; the envelope is not under pressure", shards, policy)
+		t.Fatalf("policy=%v: workload produced no evictions; the envelope is not under pressure", policy)
 	}
 	return b.String()
 }
 
-// TestEvictionShardIdentity is the fabric-scope eviction-determinism
+// TestEvictionDeterminism is the fabric-scope eviction-determinism
 // gate the flowtable unit tests point at: under a bounded Generation,
-// the shard layout must not change which flow entries get evicted or
-// which destination classes lose group-table admission. Each switch's
+// which flow entries get evicted and which destination classes lose
+// group-table admission is a pure function of the seed. Each switch's
 // eviction PRNG seeds from its own ID and its LRU order is driven only
-// by its own traffic, so the per-switch hardware signature must be
-// byte-identical at every shard count, for both policies.
-func TestEvictionShardIdentity(t *testing.T) {
+// by its own traffic, so two builds must leave byte-identical
+// per-switch hardware signatures, for both policies.
+func TestEvictionDeterminism(t *testing.T) {
 	for _, policy := range []flowtable.Policy{flowtable.EvictLRU, flowtable.EvictRandom} {
-		serial := evictionTrace(t, 1, policy)
-		for _, shards := range []int{2, 5} {
-			if got := evictionTrace(t, shards, policy); got != serial {
-				t.Errorf("policy=%v shards=%d hardware signature diverges from serial: %s",
-					policy, shards, firstDiff(serial, got))
-			}
+		first := evictionTrace(t, policy)
+		if got := evictionTrace(t, policy); got != first {
+			t.Errorf("policy=%v hardware signature differs between two builds: %s",
+				policy, firstDiff(first, got))
 		}
 	}
+}
+
+// firstDiff renders the first diverging line of two traces.
+func firstDiff(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if al[i] != bl[i] {
+			return fmt.Sprintf("line %d:\n  first:  %q\n  second: %q", i, al[i], bl[i])
+		}
+	}
+	return fmt.Sprintf("prefix equal; lengths %d vs %d lines", len(al), len(bl))
 }

@@ -3,8 +3,6 @@
 package core
 
 import (
-	"fmt"
-
 	"portland/internal/fabricmgr"
 	"portland/internal/obs"
 )
@@ -103,27 +101,5 @@ func (f *Fabric) ObsCounters() obs.Counters {
 	c["obs.events_captured"] = f.Obs.EventsCaptured()
 	c["obs.events_dropped"] = f.Obs.EventsDropped()
 
-	// Engine-domain synchronization cost, opt-in via
-	// Options.SyncCounters: the keys are additive, so the golden-gated
-	// replay reports (which never set the option) keep their exact
-	// byte image. Counters only — the snapshot is taken here, outside
-	// the simulation's data path.
-	if f.Opts.SyncCounters {
-		ss := f.Dom.SyncStats()
-		c["sync.epochs"] = ss.Epochs
-		c["sync.instants"] = ss.Instants
-		var barriers, skips, mail int64
-		for i, sh := range ss.Shards {
-			barriers += sh.Barriers
-			skips += sh.Skips
-			mail += sh.MailRecv
-			c[fmt.Sprintf("sync.s%d.barriers", i)] = sh.Barriers
-			c[fmt.Sprintf("sync.s%d.skips", i)] = sh.Skips
-			c[fmt.Sprintf("sync.s%d.mail_hw", i)] = sh.MailHighWater
-		}
-		c["sync.barriers"] = barriers
-		c["sync.skips"] = skips
-		c["sync.mail_recv"] = mail
-	}
 	return c
 }

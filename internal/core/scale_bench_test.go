@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 	"time"
 )
@@ -28,80 +26,6 @@ func BenchmarkK48Discovery(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-	}
-}
-
-// BenchmarkShardedBoot measures cold boot through verified location
-// discovery across engine-shard counts, up to the beyond-target k=64
-// fabric (5120 switches, 65,536 hosts). Every configuration produces
-// the byte-identical discovery outcome (the shard identity gates pin
-// that); what varies is wall time, and only with cores to spend —
-// each op reports the honest parallelism actually used: `shards`
-// (configured partition), `workers` (effective worker bound, i.e.
-// min(GOMAXPROCS, shards)), and `maxprocs`. On a single-core host
-// workers stays 1 and the sharded rows measure pure partition
-// overhead; the speedup headroom is shards × cores on wider hosts.
-//
-// Synchronization-cost metrics come from Domain.SyncStats: `epochs` is
-// the number of planning rounds the boot took and `barriers` / `skips`
-// are per-shard averages of windows actually run versus wakeups the
-// pairwise planner skipped. The `planner=global` rows rerun the
-// 8-shard boots under the retained global-minimum reference planner
-// (every shard woken every epoch, so barriers == epochs and skips ==
-// 0); comparing their `barriers` column against the pairwise rows is
-// the ≥30%-fewer-barriers acceptance measurement, checked into the
-// BENCH_*-pairwise.json baseline.
-func BenchmarkShardedBoot(b *testing.B) {
-	for _, c := range []struct {
-		k, shards int
-		global    bool
-	}{
-		{48, 1, false}, {48, 4, false}, {48, 8, false},
-		{64, 1, false}, {64, 8, false},
-		{48, 8, true}, {64, 8, true},
-	} {
-		name := fmt.Sprintf("k%d/shards%d", c.k, c.shards)
-		if c.global {
-			name += "/planner=global"
-		}
-		b.Run(name, func(b *testing.B) {
-			workers := 1
-			var epochs, barriers, skips float64
-			for i := 0; i < b.N; i++ {
-				f, err := NewFatTree(c.k, Options{Seed: 1, Shards: c.shards})
-				if err != nil {
-					b.Fatal(err)
-				}
-				f.Dom.SetGlobalPlanner(c.global)
-				f.Start()
-				if err := f.AwaitDiscovery(10 * time.Second); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if err := f.CheckDiscovery(); err != nil {
-					b.Fatal(err)
-				}
-				workers = f.Dom.EffectiveWorkers()
-				ss := f.Dom.SyncStats()
-				epochs = float64(ss.Epochs)
-				var bar, sk int64
-				for _, sh := range ss.Shards {
-					bar += sh.Barriers
-					sk += sh.Skips
-				}
-				if n := len(ss.Shards); n > 0 {
-					barriers = float64(bar) / float64(n)
-					skips = float64(sk) / float64(n)
-				}
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(c.shards), "shards")
-			b.ReportMetric(float64(workers), "workers")
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "maxprocs")
-			b.ReportMetric(epochs, "epochs")
-			b.ReportMetric(barriers, "barriers")
-			b.ReportMetric(skips, "skips")
-		})
 	}
 }
 

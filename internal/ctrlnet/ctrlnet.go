@@ -70,14 +70,11 @@ type PipeConfig struct {
 	CorruptRate float64
 }
 
-// SimConn is one end of an in-simulator pipe. In domain mode (built
-// with SimPipeDom) the end carries its own sim.Proc: send-side coins
-// draw from the end's private stream and deliveries to a peer on
-// another shard ride the domain's epoch mailboxes — both keyed so a
-// sharded run orders control traffic identically to a serial one.
+// SimConn is one end of an in-simulator pipe. Each end carries its own
+// sim.Proc: send-side coins draw from the end's private stream and
+// deliveries to the peer are keyed by it.
 type SimConn struct {
-	eng     *sim.Engine
-	proc    *sim.Proc // nil on legacy single-engine pipes
+	proc    *sim.Proc
 	cfg     PipeConfig
 	peer    *SimConn
 	handler Handler
@@ -87,49 +84,22 @@ type SimConn struct {
 	err     error
 }
 
-// SimPipe creates a bidirectional in-simulator control channel with
-// the given one-way delay. Attach receivers with SetHandler on each
-// end. Delivery order is FIFO per direction, as over TCP.
-func SimPipe(eng *sim.Engine, delay time.Duration) (a, b *SimConn) {
-	return SimPipeCfg(eng, PipeConfig{Delay: delay})
-}
-
-// SimPipeCfg creates a control channel with full physical
-// configuration: latency plus the loss/corruption rates the
-// control-plane hardening tests and the fmf experiment inject.
-func SimPipeCfg(eng *sim.Engine, cfg PipeConfig) (a, b *SimConn) {
-	ca := &SimConn{eng: eng, cfg: cfg}
-	cb := &SimConn{eng: eng, cfg: cfg}
+// SimPipe creates a bidirectional in-simulator control channel on eng
+// with the given physical configuration: latency plus the
+// loss/corruption rates the control-plane hardening tests and the fmf
+// experiment inject. Attach receivers with SetHandler on each end.
+// Delivery order is FIFO per direction, as over TCP.
+func SimPipe(eng *sim.Engine, cfg PipeConfig) (a, b *SimConn) {
+	ca := &SimConn{proc: eng.NewProc(), cfg: cfg}
+	cb := &SimConn{proc: eng.NewProc(), cfg: cfg}
 	ca.peer = cb
 	cb.peer = ca
 	return ca, cb
 }
 
-// SimPipeDom creates a control channel whose ends live on (possibly
-// different) shards of a domain: end a on ea, end b on eb. Each end
-// gets its own scheduling stream, and a cross-shard pipe registers its
-// delay as a per-direction (src shard → dst shard) lookahead bound in
-// the domain's pairwise matrix — the pipe carries traffic both ways,
-// so both directed pairs are registered.
-func SimPipeDom(d *sim.Domain, ea, eb *sim.Engine, cfg PipeConfig) (a, b *SimConn) {
-	ca := &SimConn{eng: ea, proc: ea.NewProc(), cfg: cfg}
-	cb := &SimConn{eng: eb, proc: eb.NewProc(), cfg: cfg}
-	ca.peer = cb
-	cb.peer = ca
-	d.RegisterLatencyDir(ea, eb, cfg.Delay)
-	d.RegisterLatencyDir(eb, ea, cfg.Delay)
-	return ca, cb
-}
-
-// Sched returns the scheduling surface owning this end: its private
-// stream in domain mode, the engine root otherwise. Wrappers that need
-// timers on this end's shard (e.g. Reliable) build them here.
-func (c *SimConn) Sched() sim.Sched {
-	if c.proc != nil {
-		return c.proc
-	}
-	return c.eng
-}
+// Sched returns this end's scheduling stream. Wrappers that need timers
+// on this end (e.g. Reliable) build them here.
+func (c *SimConn) Sched() sim.Sched { return c.proc }
 
 // SetHandler installs the function that receives messages sent by the
 // peer end.
@@ -157,10 +127,7 @@ func (c *SimConn) Send(m ctrlmsg.Msg) error {
 	b := ctrlmsg.Encode(m)
 	c.stats.Msgs++
 	c.stats.Bytes += int64(len(b) + frameOverhead)
-	rng := c.eng.Rand()
-	if c.proc != nil {
-		rng = c.proc.Rand()
-	}
+	rng := c.proc.Rand()
 	if c.cfg.LossRate > 0 && rng.Float64() < c.cfg.LossRate {
 		c.stats.Drops++
 		return nil
@@ -173,13 +140,7 @@ func (c *SimConn) Send(m ctrlmsg.Msg) error {
 		b[0] ^= 0x80
 	}
 	peer := c.peer
-	if c.proc != nil {
-		// Keyed by this end's stream; routes through the domain
-		// mailbox when the peer lives on another shard.
-		c.proc.ScheduleOn(peer.eng, c.proc.Now()+c.cfg.Delay, func() { peer.deliverRaw(b) })
-		return nil
-	}
-	c.eng.Schedule(c.cfg.Delay, func() { peer.deliverRaw(b) })
+	c.proc.Schedule(c.cfg.Delay, func() { peer.deliverRaw(b) })
 	return nil
 }
 

@@ -15,7 +15,7 @@ func TestSimPipeDeliveryAndLatency(t *testing.T) {
 	eng := sim.New(1)
 	var got []ctrlmsg.Msg
 	var at []time.Duration
-	a, b := SimPipe(eng, 50*time.Microsecond)
+	a, b := SimPipe(eng, PipeConfig{Delay: 50 * time.Microsecond})
 	b.SetHandler(func(m ctrlmsg.Msg) {
 		got = append(got, m)
 		at = append(at, eng.Now())
@@ -47,7 +47,7 @@ func TestSimPipeDeliveryAndLatency(t *testing.T) {
 
 func TestSimPipeClose(t *testing.T) {
 	eng := sim.New(1)
-	a, b := SimPipe(eng, time.Microsecond)
+	a, b := SimPipe(eng, PipeConfig{Delay: time.Microsecond})
 	n := 0
 	b.SetHandler(func(ctrlmsg.Msg) { n++ })
 	if err := a.Close(); err != nil {
@@ -57,7 +57,7 @@ func TestSimPipeClose(t *testing.T) {
 		t.Fatalf("Send after Close: %v", err)
 	}
 	// Peer-closed drops in-flight deliveries.
-	c, d := SimPipe(eng, time.Microsecond)
+	c, d := SimPipe(eng, PipeConfig{Delay: time.Microsecond})
 	d.SetHandler(func(ctrlmsg.Msg) { n++ })
 	_ = c.Send(ctrlmsg.Hello{Switch: 2})
 	_ = d.Close()
@@ -205,7 +205,7 @@ func TestTCPConnOverLoopback(t *testing.T) {
 // surfaced via Err(), and later frames still flow.
 func TestSimPipeCorruptFrameCountedNotFatal(t *testing.T) {
 	eng := sim.New(7)
-	a, b := SimPipeCfg(eng, PipeConfig{Delay: time.Microsecond, CorruptRate: 1})
+	a, b := SimPipe(eng, PipeConfig{Delay: time.Microsecond, CorruptRate: 1})
 	var got []ctrlmsg.Msg
 	b.SetHandler(func(m ctrlmsg.Msg) { got = append(got, m) })
 	if err := a.Send(ctrlmsg.Hello{Switch: 1}); err != nil {
@@ -235,7 +235,7 @@ func TestSimPipeCorruptFrameCountedNotFatal(t *testing.T) {
 
 func TestSimPipeLossRate(t *testing.T) {
 	eng := sim.New(3)
-	a, b := SimPipeCfg(eng, PipeConfig{Delay: time.Microsecond, LossRate: 0.5})
+	a, b := SimPipe(eng, PipeConfig{Delay: time.Microsecond, LossRate: 0.5})
 	n := 0
 	b.SetHandler(func(ctrlmsg.Msg) { n++ })
 	const sent = 400
@@ -260,7 +260,7 @@ func TestSimPipeLossRate(t *testing.T) {
 // without losing accumulated stats.
 func TestSimPipeSetUp(t *testing.T) {
 	eng := sim.New(1)
-	a, b := SimPipe(eng, time.Microsecond)
+	a, b := SimPipe(eng, PipeConfig{Delay: time.Microsecond})
 	n := 0
 	b.SetHandler(func(ctrlmsg.Msg) { n++ })
 	_ = a.Send(ctrlmsg.Hello{Switch: 1})
@@ -295,7 +295,7 @@ func TestSimPipeSetUp(t *testing.T) {
 // directions, every message still arrives exactly once and in order.
 func TestReliableOverLossyPipe(t *testing.T) {
 	eng := sim.New(11)
-	a, b := SimPipeCfg(eng, PipeConfig{Delay: 50 * time.Microsecond, LossRate: 0.3})
+	a, b := SimPipe(eng, PipeConfig{Delay: 50 * time.Microsecond, LossRate: 0.3})
 	ra := NewReliable(eng, a, ReliableConfig{})
 	rb := NewReliable(eng, b, ReliableConfig{})
 	var got []uint64
@@ -328,7 +328,7 @@ func TestReliableOverLossyPipe(t *testing.T) {
 // spontaneous traffic — only Sends and their acks touch the wire.
 func TestReliableQuiescent(t *testing.T) {
 	eng := sim.New(1)
-	a, b := SimPipe(eng, time.Microsecond)
+	a, b := SimPipe(eng, PipeConfig{Delay: time.Microsecond})
 	ra := NewReliable(eng, a, ReliableConfig{})
 	rb := NewReliable(eng, b, ReliableConfig{})
 	rb.SetHandler(func(ctrlmsg.Msg) {})

@@ -171,8 +171,8 @@ func RunA2(ks []int) (*A2Result, error) {
 		}
 		f.Start()
 		deadline := 60 * time.Second
-		for f.Dom.Now() < deadline && !f.AllResolved() {
-			f.Dom.RunUntil(f.Dom.Now() + time.Millisecond)
+		for f.Eng.Now() < deadline && !f.AllResolved() {
+			f.Eng.RunUntil(f.Eng.Now() + time.Millisecond)
 		}
 		if !f.AllResolved() {
 			return a2Cell{}, errDiscoveryStalled

@@ -16,82 +16,26 @@ import (
 	"time"
 
 	"portland/internal/core"
-	"portland/internal/graydetect"
-	"portland/internal/ldp"
-	"portland/internal/sim"
 	"portland/internal/topo"
 )
 
-// Rig configures the simulated testbed common to the experiments.
+// Rig configures the simulated testbed common to the experiments: the
+// fat-tree degree plus the fabric build options. Zero option values
+// take core's defaults, and the zero value of every optional model
+// (CtrlLoss, Detect, MgrShards, PuntBatch, Speeds, Hardware) leaves
+// pre-existing experiments bit-identical.
 type Rig struct {
-	K    int
-	Seed uint64
-	Link sim.LinkConfig
-	LDP  ldp.Config
-	// CtrlLoss is the loss probability on every switch↔manager
-	// control channel. Zero keeps the channels lossless (and
-	// overhead-free: the Figure 13 byte counts stay exact); anything
-	// positive makes critical control exchanges ride the reliable
-	// (ack + retransmit) wrapper.
-	CtrlLoss float64
-	// Detect arms the per-switch gray-failure detector. The zero value
-	// keeps it off (no ticker, no RNG draws) so every pre-existing
-	// experiment is bit-identical with or without this field.
-	Detect graydetect.Config
-	// Shards partitions the fabric across engine shards (see
-	// core.Options.Shards). Results are byte-identical for every value
-	// — the serial-vs-sharded golden gates depend on it — so this only
-	// changes wall-clock time, never output.
-	Shards int
-	// MgrShards partitions the fabric manager's registry by IP prefix
-	// across N replicas (core.Options.MgrShards). Zero or one is the
-	// classic single manager.
-	MgrShards int
-	// SyncCounters adds the engine domain's synchronization counters
-	// (epoch planner barriers/skips, mailbox traffic) to each report's
-	// counter block under "sync.*" keys (core.Options.SyncCounters).
-	// Off by default: the keys describe the engine, not the fabric, so
-	// the golden-gated reports never include them — a sharded replay
-	// stays byte-identical to the serial golden.
-	SyncCounters bool
-	// PuntBatch arms edge-switch ARP-punt batching with the given hold
-	// timer (core.Options.PuntBatch). Zero punts each miss immediately.
-	PuntBatch time.Duration
-	// Speeds assigns per-tier link rate classes (core.Options.Speeds).
-	// The zero profile keeps every link on Rig.Link's uniform rate, so
-	// pre-existing experiments are bit-identical with or without it.
-	Speeds topo.SpeedProfile
-	// Hardware bounds each switch tier's ASIC tables
-	// (core.Options.Hardware). The zero profile keeps every table
-	// unbounded — the pre-hardware-model behavior.
-	Hardware core.HardwareProfile
+	K int
+	core.Options
 }
-
-// defaultShards is the process-wide engine-shard default baked into
-// every rig DefaultRig hands out — the hook behind portland-bench's
-// -shards flag. Because sharding never changes results (only wall
-// clock), one knob for the whole process is the right granularity.
-var defaultShards int
-
-// SetDefaultShards sets the engine-shard count DefaultRig bakes into
-// experiment rigs. Zero or one means serial.
-func SetDefaultShards(n int) { defaultShards = n }
-
-// defaultSyncCounters is the process-wide default behind
-// portland-bench's -synccounters flag; see Rig.SyncCounters.
-var defaultSyncCounters bool
-
-// SetDefaultSyncCounters sets whether DefaultRig rigs report the
-// engine domain's synchronization counters in their reports.
-func SetDefaultSyncCounters(on bool) { defaultSyncCounters = on }
 
 // DefaultRig mirrors the paper's testbed scale.
 func DefaultRig() Rig {
-	return Rig{K: 4, Seed: 1, Shards: defaultShards, SyncCounters: defaultSyncCounters}
+	return Rig{K: 4, Options: core.Options{Seed: 1}}
 }
 
 func (r Rig) build() (*core.Fabric, error) {
-	f, err := core.NewFatTree(r.K, core.Options{Seed: r.Seed, Link: r.Link, LDP: r.LDP, CtrlLoss: r.CtrlLoss, Detect: r.Detect, Shards: r.Shards, SyncCounters: r.SyncCounters, MgrShards: r.MgrShards, PuntBatch: r.PuntBatch, Speeds: r.Speeds, Hardware: r.Hardware})
+	f, err := core.NewFatTree(r.K, r.Options)
 	if err != nil {
 		return nil, err
 	}

@@ -190,29 +190,6 @@ func TestMgrReportGolden(t *testing.T) {
 	}
 }
 
-// TestMgrReportGoldenSharded re-runs the same manager cell on a
-// sharded *engine* (registry shards and engine shards compose) against
-// the same golden: byte-identity to the serial report is the contract.
-func TestMgrReportGoldenSharded(t *testing.T) {
-	cfg := DefaultMgr()
-	cfg.Rig.Shards = 5
-	rep, err := ReplayMgr(cfg, 2, 200*time.Microsecond, 0)
-	if err != nil {
-		t.Fatalf("ReplayMgr (sharded): %v", err)
-	}
-	got, err := rep.EncodeBytes()
-	if err != nil {
-		t.Fatalf("EncodeBytes: %v", err)
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "mgr-report.golden.json"))
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("engine-sharded manager replay differs from the serial golden (len %d vs %d): the shard determinism contract is broken", len(got), len(want))
-	}
-}
-
 // ftTestConfig is the smallest interesting ft cell grid: one degree,
 // the scaled Gen40 envelope plus the unbounded contrast.
 func ftTestConfig() FTConfig {
@@ -260,79 +237,5 @@ func TestFTReportGolden(t *testing.T) {
 	}
 	if !bytes.Equal(again, got) {
 		t.Fatal("two in-process replays of the same table-pressure cell differ")
-	}
-}
-
-// TestFTReportGoldenSharded re-runs the same table-pressure cell on a
-// sharded engine against the same golden. Byte-identity here is the
-// eviction-determinism contract at fabric scope: shard layout must not
-// change which flow entries get evicted or which destination classes
-// degrade (the flow-table PRNG seeds from the switch ID, never an
-// engine stream).
-func TestFTReportGoldenSharded(t *testing.T) {
-	cfg := ftTestConfig()
-	cfg.Rig.Shards = 5
-	rep, err := ReplayFT(cfg, 4, "gen40/64", 0)
-	if err != nil {
-		t.Fatalf("ReplayFT (sharded): %v", err)
-	}
-	got, err := rep.EncodeBytes()
-	if err != nil {
-		t.Fatalf("EncodeBytes: %v", err)
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "ft-report.golden.json"))
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("engine-sharded table-pressure replay differs from the serial golden (len %d vs %d): the shard determinism contract is broken", len(got), len(want))
-	}
-}
-
-// TestFig9ReportGoldenSharded pins the sharded engine's determinism
-// contract against the same golden the serial replay is gated on: a
-// Fig. 9 replay split across engine shards must produce the identical
-// bytes. The golden is deliberately shared — there is no "sharded
-// golden"; a sharded run that needs its own golden is a broken one.
-func TestFig9ReportGoldenSharded(t *testing.T) {
-	cfg := fig9TestConfig()
-	cfg.Rig.Shards = 5 // one per pod + the core bank, at k=4
-	rep, err := ReplayFig9(cfg, 1, 3)
-	if err != nil {
-		t.Fatalf("ReplayFig9 (sharded): %v", err)
-	}
-	got, err := rep.EncodeBytes()
-	if err != nil {
-		t.Fatalf("EncodeBytes: %v", err)
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "fig9-report.golden.json"))
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("sharded replay differs from the serial golden (len %d vs %d): the shard determinism contract is broken", len(got), len(want))
-	}
-}
-
-// TestSCReportGoldenSharded is the scenario-replay arm of the same
-// contract: the `-exp sc` cell re-run on a sharded engine must match
-// the serial golden byte-for-byte.
-func TestSCReportGoldenSharded(t *testing.T) {
-	cfg := DefaultSC()
-	cfg.Rig.Shards = 5
-	rep, err := ReplaySC(cfg, "gray-det", 0)
-	if err != nil {
-		t.Fatalf("ReplaySC (sharded): %v", err)
-	}
-	got, err := rep.EncodeBytes()
-	if err != nil {
-		t.Fatalf("EncodeBytes: %v", err)
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "sc-report.golden.json"))
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("sharded scenario replay differs from the serial golden (len %d vs %d): the shard determinism contract is broken", len(got), len(want))
 	}
 }

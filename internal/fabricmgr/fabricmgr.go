@@ -670,6 +670,16 @@ func (m *Manager) NumHosts() int {
 	return len(m.ips)
 }
 
+// StatsSnapshot returns a copy of the counter block taken under the
+// manager's lock. Goroutines other than the sessions' (a daemon's stats
+// reporter, say) must read the counters through it, never Stats
+// directly.
+func (m *Manager) StatsSnapshot() Counters {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.Stats
+}
+
 // Lookup resolves an IP from the registry (for tests and tools).
 func (m *Manager) Lookup(ip netip.Addr) (ether.Addr, bool) {
 	m.mu.Lock()

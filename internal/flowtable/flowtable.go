@@ -14,7 +14,7 @@
 // deterministic — LRU order is an intrusive list maintained on every
 // touch, and random replacement draws from a table-owned splitmix64
 // stream seeded at construction — so the same workload evicts the same
-// entries run after run, on a serial or sharded engine alike.
+// entries run after run.
 package flowtable
 
 import (
@@ -68,7 +68,7 @@ type Limit struct {
 	// Seed initializes the table-owned PRNG used by EvictRandom. The
 	// stream deliberately does NOT come from the engine's per-entity
 	// RNG: eviction choices must be a pure function of the table's own
-	// history, so engine shard layout cannot change who gets evicted.
+	// history, so engine scheduling cannot change who gets evicted.
 	Seed uint64
 }
 

@@ -140,9 +140,9 @@ func TestCapacityNeverExceeded(t *testing.T) {
 // TestRandomEvictionDeterministic pins the eviction-determinism
 // contract at the unit level: two tables fed the identical install
 // sequence from the same seed must evict the identical victims — the
-// PRNG is table-owned, so nothing about engine scheduling or shard
-// layout can perturb it. (The fabric-level version of this contract is
-// TestEvictionShardIdentity in internal/core.)
+// PRNG is table-owned, so nothing about engine scheduling can perturb
+// it. (The fabric-level version of this contract is
+// TestEvictionDeterminism in internal/core.)
 func TestRandomEvictionDeterministic(t *testing.T) {
 	run := func() []Key {
 		c := &clock{}

@@ -112,7 +112,7 @@ func (s *Switch) Generation() Generation { return s.gen }
 
 // applyGen pushes the generation's flow-table bound onto the (fresh)
 // flow table. The eviction PRNG seeds from the switch ID: stable
-// across runs and shard layouts, distinct across switches.
+// across runs, distinct across switches.
 func (s *Switch) applyGen() {
 	if s.gen.FlowEntries > 0 {
 		s.flows.SetLimit(flowtable.Limit{

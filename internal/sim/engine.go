@@ -2,9 +2,9 @@
 //
 // All protocol code in this repository runs on virtual time: an Engine
 // owns a monotone clock and an event queue, and every link, timer and
-// timeout is an event. Runs are reproducible — the engine's PRNG is
+// timeout is an event. Runs are reproducible — every PRNG stream is
 // seeded explicitly and ties between simultaneous events are broken by
-// insertion order.
+// a per-entity key (see proc.go).
 package sim
 
 import (
@@ -28,7 +28,7 @@ import (
 // by value, and a fatter struct measurably slows every Schedule/Run.
 type event struct {
 	at  time.Duration
-	seq uint64 // insertion order, breaks ties deterministically
+	seq uint64 // tie-break key (see proc.go)
 	fn  func()
 	dir *direction // frame-delivery variant (fn is nil)
 }
@@ -179,23 +179,19 @@ type Engine struct {
 	// touches it (the determinism-under-parallelism contract).
 	pool ether.FramePool
 
-	// ranks allocates entity tie-break ranks (see proc.go). Private to
-	// this engine when standalone; shared across all shards of a Domain.
-	ranks *rankSpace
-
-	// dom/shard identify this engine's place in a Domain, when it is a
-	// shard of one (dom nil otherwise). Link.Send uses them to route
-	// cross-shard deliveries through the Domain's mailboxes.
-	dom   *Domain
-	shard int
+	// seed and nextRank allocate entity tie-break ranks and derive
+	// their PRNG streams (see proc.go).
+	seed     uint64
+	nextRank uint64
 }
 
 // New returns an engine whose PRNG is seeded with seed.
 func New(seed uint64) *Engine {
 	return &Engine{
-		rng:   rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
-		free:  -1,
-		ranks: &rankSpace{seed: seed, next: 1},
+		rng:      rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
+		free:     -1,
+		seed:     seed,
+		nextRank: 1,
 	}
 }
 
@@ -222,16 +218,6 @@ func (e *Engine) ScheduleAt(t time.Duration, fn func()) {
 	}
 	e.seq++
 	e.enqueue(event{at: t, seq: e.seq, fn: fn})
-}
-
-// scheduleDelivery queues a value-typed frame-delivery event: the
-// frame at the head of d's in-flight ring arrives at absolute time t.
-func (e *Engine) scheduleDelivery(t time.Duration, d *direction) {
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	e.enqueue(event{at: t, seq: e.seq, dir: d})
 }
 
 // enqueue files an event into the stage its tick belongs to.
@@ -496,86 +482,10 @@ func (e *Engine) RunUntil(deadline time.Duration) int {
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return e.queued }
 
-// NextAt returns the exact timestamp of the earliest queued event. It
-// may advance the wheel base to stage that event into the due heap —
-// safe at any point between events, because enqueue files ticks <= base
-// into the exactly-ordered due heap — but executes nothing and never
-// moves the clock. The Domain's window planner uses it to size each
-// lockstep epoch to the true global minimum instead of a bucket lower
-// bound (which would crawl across sparse gaps one window at a time).
-func (e *Engine) NextAt() (time.Duration, bool) {
-	if e.queued == 0 {
-		return 0, false
-	}
-	if len(e.due) == 0 {
-		e.advance()
-	}
-	return e.due[0].at, true
-}
-
-// head returns the (at, seq) key of the earliest queued event without
-// removing it.
-func (e *Engine) head() (time.Duration, uint64, bool) {
-	if e.queued == 0 {
-		return 0, 0, false
-	}
-	if len(e.due) == 0 {
-		e.advance()
-	}
-	return e.due[0].at, e.due[0].seq, true
-}
-
-// fireHead pops and executes the earliest queued event, moving the
-// clock to its timestamp. The Domain's exclusive-instant interleave
-// uses it to merge-execute same-instant events across shards in global
-// (at, seq) order.
-func (e *Engine) fireHead() {
-	if len(e.due) == 0 {
-		e.advance()
-	}
-	ev := e.due.pop()
-	e.queued--
-	if e.shadow != nil {
-		e.checkShadow(ev)
-	}
-	e.now = ev.at
-	ev.fire()
-}
-
-// runSpan executes every event with timestamp < limit and then moves
-// the clock to clockTo (no-op if the clock is already past it). It is
-// the per-shard body of one Domain epoch: the strict bound is what lets
-// events *at* the next barrier wait for mailbox handoff, while clockTo
-// lets the caller park the clock at the barrier (or at an inclusive
-// run deadline) without firing anything there.
-func (e *Engine) runSpan(limit, clockTo time.Duration) int {
-	n := 0
-	for e.queued > 0 {
-		if len(e.due) == 0 {
-			e.advance()
-		}
-		if e.due[0].at >= limit {
-			break
-		}
-		next := e.due.pop()
-		e.queued--
-		if e.shadow != nil {
-			e.checkShadow(next)
-		}
-		e.now = next.at
-		next.fire()
-		n++
-	}
-	if e.now < clockTo {
-		e.now = clockTo
-	}
-	return n
-}
-
 // schedAt is the internal hook Timer and Ticker are built on; it is
-// implemented by Engine (root-stream keys), Proc (entity keys) and
-// Domain (exclusive keys), so the same timer machinery serves all
-// three without caring which stream its events ride.
+// implemented by Engine (root-stream keys) and Proc (entity keys), so
+// the same timer machinery serves both without caring which stream its
+// events ride.
 type schedAt interface {
 	nowT() time.Duration
 	scheduleAtFn(t time.Duration, fn func())
@@ -594,8 +504,8 @@ type Timer struct {
 }
 
 // NewTimer returns an unarmed timer that will call fn when it fires.
-// Its expiry events ride the engine's root stream; Domain-backed code
-// should use Proc.NewTimer instead.
+// Its expiry events ride the engine's root stream; entity code should
+// use Proc.NewTimer instead.
 func (e *Engine) NewTimer(fn func()) *Timer { return newTimer(e, fn) }
 
 func newTimer(s schedAt, fn func()) *Timer {
@@ -644,7 +554,7 @@ type Ticker struct {
 // tick is after a uniform random fraction of jitter (used to de-phase
 // periodic protocols such as LDP keepalives). Tick events ride the
 // engine's root stream and the jitter draws from the root PRNG;
-// Domain-backed code should use Proc.NewTicker instead.
+// entity code should use Proc.NewTicker instead.
 func (e *Engine) NewTicker(interval, jitter time.Duration, fn func()) *Ticker {
 	return newTicker(e, e.rng, interval, jitter, fn)
 }

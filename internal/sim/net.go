@@ -93,19 +93,13 @@ type DirStats struct {
 // failure-injected down, which silently discards frames — exactly what
 // higher layers must detect via LDP timeouts.
 //
-// A link runs in one of two modes, fixed at wiring time. The legacy
-// mode (Connect) lives on a single engine and keeps the original
-// semantics: loss coins are flipped at send time from the engine's
-// root PRNG and delivery ties use the root counter. The domain mode
-// (Domain.Connect) may span two shards; each direction then owns a
-// Proc of its *receiving* shard (wire-loss coins are flipped at
-// delivery time from that stream — physically, corruption is observed
-// by the receiver's CRC check), the transmitter tracks its own queue
-// occupancy by serialization-end times, and counters are split into
-// transmitter-owned and receiver-owned halves so the two shards never
-// write the same word.
+// Each direction owns a Proc: its delivery events carry that stream's
+// keys, and wire-loss coins are flipped at delivery time from it
+// (physically, corruption is observed by the receiver's CRC check), so
+// a link's draws never depend on what the rest of the fabric does.
 type Link struct {
 	cfg LinkConfig
+	eng *Engine
 
 	a, b endpoint
 	ab   direction // a transmits to b
@@ -117,8 +111,6 @@ type Link struct {
 	// delivered to a receiver (after queueing and propagation). The
 	// frame is valid only for the duration of the call; taps must not
 	// retain it (delivered frames may return to the engine's pool).
-	// On a cross-shard link the tap runs on the receiving shard and
-	// must touch only receiver-shard (or immutable) state.
 	Tap func(f *ether.Frame)
 }
 
@@ -140,17 +132,8 @@ type direction struct {
 	busyUntil time.Duration
 	queued    int // frames in the ring == scheduled, undelivered
 
-	// txEng/rxEng are the engines of the transmitting and receiving
-	// endpoints (equal on a same-shard or legacy link).
-	txEng *Engine
-	rxEng *Engine
-
-	// proc is the direction's scheduling identity in domain mode (nil
-	// on legacy links). Its counter is advanced at send time by the
-	// transmitting shard; its PRNG is drawn at delivery time by the
-	// receiving shard. The fields are disjoint and the phases cannot
-	// overlap (a delivery is at least one lookahead after its send),
-	// so the shared struct is race-free.
+	// proc is the direction's scheduling identity: it keys delivery
+	// events and draws the delivery-time wire-loss coins.
 	proc *Proc
 
 	// grayRate drops each non-LDP frame independently with this
@@ -160,20 +143,12 @@ type direction struct {
 	// liveness-protocol blind spot the detector exists for.
 	grayRate float64
 
-	// tx tallies outcomes decided at the transmitter (QueueDrops,
-	// send-time DownDrops); rx tallies outcomes decided at the
-	// receiver (Delivered, LossDrops, GrayDrops, in-flight
-	// DownDrops). Separate structs because in domain mode they are
-	// written by different shards.
-	tx DirStats
-	rx DirStats
+	// stats tallies the direction's per-cause outcomes.
+	stats DirStats
 
-	// serEnds tracks, in domain mode, the serialization-end time of
-	// every frame the transmitter has accepted: the egress queue
-	// occupancy at time t is the count of entries > t. The legacy
-	// mode counts the in-flight ring instead, but in domain mode the
-	// ring is popped by the receiving shard and must not feed back
-	// into transmit decisions.
+	// serEnds tracks the serialization-end time of every frame the
+	// transmitter has accepted: the egress queue occupancy at time t
+	// is the count of entries > t.
 	serEnds []time.Duration
 	serHead int
 	serLen  int
@@ -232,37 +207,16 @@ func (d *direction) reapSer(now time.Duration) {
 	}
 }
 
-// Connect wires (an,ap) to (bn,bp) with cfg on a single engine and
-// attaches both sides (legacy single-engine mode).
+// Connect wires (an,ap) to (bn,bp) with cfg on engine e and attaches
+// both sides. Each direction gets its own Proc, the one delivering to
+// bn first.
 func Connect(e *Engine, an Node, ap int, bn Node, bp int, cfg LinkConfig) *Link {
-	return connect(e, e, an, ap, bn, bp, cfg, false)
-}
-
-// Connect wires (an,ap) on engine ea to (bn,bp) on engine eb in domain
-// mode: per-direction receiver-shard streams, delivery-time loss
-// coins, and transmitter-local queue accounting. A cross-shard link
-// registers its propagation delay as a lookahead bound for both
-// directed shard pairs (full-duplex media, one delay).
-func (d *Domain) Connect(ea, eb *Engine, an Node, ap int, bn Node, bp int, cfg LinkConfig) *Link {
-	if ea.dom != d || eb.dom != d {
-		panic("sim: Domain.Connect with engines outside the domain")
-	}
-	l := connect(ea, eb, an, ap, bn, bp, cfg, true)
-	d.RegisterLatency(ea, eb, l.cfg.Delay)
-	return l
-}
-
-func connect(ea, eb *Engine, an Node, ap int, bn Node, bp int, cfg LinkConfig, domainMode bool) *Link {
 	if cfg.Rate == 0 {
 		cfg = DefaultLinkConfig
 	}
-	l := &Link{cfg: cfg, a: endpoint{an, ap}, b: endpoint{bn, bp}, up: true}
-	l.ab = direction{link: l, toB: true, txEng: ea, rxEng: eb}
-	l.ba = direction{link: l, txEng: eb, rxEng: ea}
-	if domainMode {
-		l.ab.proc = eb.NewProc()
-		l.ba.proc = ea.NewProc()
-	}
+	l := &Link{cfg: cfg, eng: e, a: endpoint{an, ap}, b: endpoint{bn, bp}, up: true}
+	l.ab = direction{link: l, toB: true, proc: e.NewProc()}
+	l.ba = direction{link: l, proc: e.NewProc()}
 	an.Attach(ap, l)
 	bn.Attach(bp, l)
 	return l
@@ -306,48 +260,34 @@ func (l *Link) GrayLoss() (rateToA, rateToB float64) {
 }
 
 // RxStats returns the per-cause counters of the direction delivering
-// to n — what n's NIC would observe on this port. It merges the
-// transmitter- and receiver-owned halves, so on a cross-shard link it
-// is only coherent while the domain is at rest (between RunUntil
-// calls or at an exclusive instant); in-run shard code should use
-// RxWireErrs instead.
-func (l *Link) RxStats(n Node) DirStats {
-	d := l.dirTo(n)
-	s := d.rx
-	s.QueueDrops += d.tx.QueueDrops
-	s.DownDrops += d.tx.DownDrops
-	return s
-}
+// to n — what n's NIC would observe on this port.
+func (l *Link) RxStats(n Node) DirStats { return l.dirTo(n).stats }
 
 // RxWireErrs returns the cumulative wire-error count (loss + gray
-// drops) of the direction delivering to n. These counters are owned
-// by n's own shard — they are exactly what n's NIC CRC check counts —
-// so unlike RxStats this is safe for n's protocol code to sample
-// mid-run on a cross-shard link.
+// drops) of the direction delivering to n — exactly what n's NIC CRC
+// check counts.
 func (l *Link) RxWireErrs(n Node) int64 {
-	d := l.dirTo(n)
-	return d.rx.LossDrops + d.rx.GrayDrops
+	s := &l.dirTo(n).stats
+	return s.LossDrops + s.GrayDrops
 }
 
 // Delivered returns frames handed to a receiver, both directions.
-func (l *Link) Delivered() int64 { return l.ab.rx.Delivered + l.ba.rx.Delivered }
+func (l *Link) Delivered() int64 { return l.ab.stats.Delivered + l.ba.stats.Delivered }
 
 // QueueDrops returns drop-tail losses at either egress queue.
-func (l *Link) QueueDrops() int64 { return l.ab.tx.QueueDrops + l.ba.tx.QueueDrops }
+func (l *Link) QueueDrops() int64 { return l.ab.stats.QueueDrops + l.ba.stats.QueueDrops }
 
 // LossDrops returns frames discarded by the random LossRate coin.
-func (l *Link) LossDrops() int64 { return l.ab.rx.LossDrops + l.ba.rx.LossDrops }
+func (l *Link) LossDrops() int64 { return l.ab.stats.LossDrops + l.ba.stats.LossDrops }
 
 // GrayDrops returns frames discarded by a gray-loss rate (SetGrayLoss)
 // while the link stayed administratively up — the failure mode LDP
 // keepalives cannot see.
-func (l *Link) GrayDrops() int64 { return l.ab.rx.GrayDrops + l.ba.rx.GrayDrops }
+func (l *Link) GrayDrops() int64 { return l.ab.stats.GrayDrops + l.ba.stats.GrayDrops }
 
 // DownDrops returns frames discarded because the link was down, either
 // at send time or while in flight.
-func (l *Link) DownDrops() int64 {
-	return l.ab.tx.DownDrops + l.ab.rx.DownDrops + l.ba.tx.DownDrops + l.ba.rx.DownDrops
-}
+func (l *Link) DownDrops() int64 { return l.ab.stats.DownDrops + l.ba.stats.DownDrops }
 
 // Drops returns every lost frame — the sum of the per-cause counters.
 func (l *Link) Drops() int64 {
@@ -386,113 +326,60 @@ func (l *Link) Send(from Node, f *ether.Frame) {
 	default:
 		panic(fmt.Sprintf("sim: node %s not on link %s<->%s", from.Name(), l.a.node.Name(), l.b.node.Name()))
 	}
-	e := dir.txEng
+	e := l.eng
 	if !l.up {
-		dir.tx.DownDrops++
+		dir.stats.DownDrops++
 		e.pool.Put(f)
 		return
 	}
-	if dir.proc != nil {
-		l.sendDomain(dir, e, f)
-		return
-	}
-	// Legacy single-engine path: original send-time coins and
-	// ring-count queue occupancy, keyed by the root stream.
-	//
+	dir.reapSer(e.now)
 	// LDP keepalives ride a strict-priority control class that is never
 	// tail-dropped: real switches schedule control traffic above the
 	// data class, so congestion must not masquerade as a dead neighbor.
 	// (Detector probes deliberately stay in the data class — they exist
 	// to experience what data experiences.)
-	if dir.queued >= l.cfg.QueueFrames && f.Type != ether.TypeLDP {
-		dir.tx.QueueDrops++
+	if dir.serLen >= l.cfg.QueueFrames && f.Type != ether.TypeLDP {
+		dir.stats.QueueDrops++
 		e.pool.Put(f)
 		return
 	}
-	if l.cfg.LossRate > 0 && e.Rand().Float64() < l.cfg.LossRate {
-		dir.rx.LossDrops++
-		e.pool.Put(f)
-		return
-	}
-	if dir.grayRate > 0 && f.Type != ether.TypeLDP && e.Rand().Float64() < dir.grayRate {
-		dir.rx.GrayDrops++
-		e.pool.Put(f)
-		return
-	}
-	ser := l.cfg.SerializationDelay(f.WireSize())
 	start := e.now
 	if dir.busyUntil > start {
 		start = dir.busyUntil
 	}
-	dir.busyUntil = start + ser
-	dir.pushFrame(f)
-	e.scheduleDelivery(dir.busyUntil+l.cfg.Delay, dir)
-}
-
-// sendDomain is the domain-mode transmit path: queue occupancy from
-// the transmitter's own serialization-end ring (the in-flight ring
-// belongs to the receiving shard), wire-loss coins deferred to
-// delivery, and the delivery key issued from the direction's stream so
-// the receiving shard orders it identically in serial and sharded
-// runs. Same-shard deliveries enqueue directly; cross-shard ones ride
-// the domain mailbox to the next epoch barrier.
-func (l *Link) sendDomain(dir *direction, e *Engine, f *ether.Frame) {
-	now := e.now
-	dir.reapSer(now)
-	// Same strict-priority control-class exemption as the legacy path.
-	if dir.serLen >= l.cfg.QueueFrames && f.Type != ether.TypeLDP {
-		dir.tx.QueueDrops++
-		e.pool.Put(f)
-		return
-	}
-	ser := l.cfg.SerializationDelay(f.WireSize())
-	start := now
-	if dir.busyUntil > start {
-		start = dir.busyUntil
-	}
-	dir.busyUntil = start + ser
+	dir.busyUntil = start + l.cfg.SerializationDelay(f.WireSize())
 	dir.pushSer(dir.busyUntil)
-	at := dir.busyUntil + l.cfg.Delay
-	seq := dir.proc.key()
-	if dir.rxEng == e {
-		dir.pushFrame(f)
-		e.enqueue(event{at: at, seq: seq, dir: dir})
-		return
-	}
-	e.dom.sendFrame(e, dir, at, seq, f)
+	dir.pushFrame(f)
+	e.enqueue(event{at: dir.busyUntil + l.cfg.Delay, seq: dir.proc.key(), dir: dir})
 }
 
 // deliver completes the oldest in-flight frame on dir: it runs from
-// the receiving engine's event loop as a value-typed delivery event
-// (no per-frame closure; see sim.event).
+// the engine's event loop as a value-typed delivery event (no
+// per-frame closure; see sim.event). Wire-corruption coins are drawn
+// here, from the direction's own stream, in delivery order.
 func (l *Link) deliver(dir *direction) {
 	f := dir.popFrame()
 	dst := l.a
 	if dir.toB {
 		dst = l.b
 	}
-	e := dir.rxEng
+	pool := &l.eng.pool
 	if !l.up { // failed while in flight
-		dir.rx.DownDrops++
-		e.pool.Put(f)
+		dir.stats.DownDrops++
+		pool.Put(f)
 		return
 	}
-	if dir.proc != nil {
-		// Domain mode: wire-corruption coins at the receiver, from the
-		// direction's own stream — draw order equals delivery order,
-		// which is the same in serial and sharded runs.
-		if l.cfg.LossRate > 0 && dir.proc.rng.Float64() < l.cfg.LossRate {
-			dir.rx.LossDrops++
-			e.pool.Put(f)
-			return
-		}
-		if dir.grayRate > 0 && f.Type != ether.TypeLDP && dir.proc.rng.Float64() < dir.grayRate {
-			dir.rx.GrayDrops++
-			e.pool.Put(f)
-			return
-		}
+	if l.cfg.LossRate > 0 && dir.proc.rng.Float64() < l.cfg.LossRate {
+		dir.stats.LossDrops++
+		pool.Put(f)
+		return
 	}
-	dir.rx.Delivered++
+	if dir.grayRate > 0 && f.Type != ether.TypeLDP && dir.proc.rng.Float64() < dir.grayRate {
+		dir.stats.GrayDrops++
+		pool.Put(f)
+		return
+	}
+	dir.stats.Delivered++
 	if l.Tap != nil {
 		l.Tap(f)
 	}

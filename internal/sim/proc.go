@@ -9,52 +9,31 @@ import (
 )
 
 // Event keys. Ties between simultaneous events are broken by a 64-bit
-// key whose high bits are the scheduling entity's rank (allocated once
-// at construction time, identically for every shard layout) and whose
-// low bits are a per-entity counter. Two events of the same entity
-// therefore order by issue order, and events of different entities
-// order by construction order — never by global insertion order, which
-// would differ between a serial and a sharded run. The engine root
-// stream is rank 0 with a bare counter, so standalone-engine users
-// (tests, benchmarks, tools that never build a Domain) see exactly the
-// pre-sharding insertion-order semantics.
+// key whose high bits are the scheduling entity's rank (allocated once,
+// in construction order) and whose low bits are a per-entity counter.
+// Two events of the same entity therefore order by issue order, and
+// events of different entities order by construction order — never by
+// global insertion order, so one entity's timers, coins and tie-breaks
+// cannot be perturbed by how other entities interleave their work. The
+// engine root stream is rank 0 with a bare counter, so standalone-engine
+// users (tests, benchmarks) see plain insertion-order semantics.
 const (
 	ctrBits = 36
 	ctrMask = (uint64(1) << ctrBits) - 1
 	maxRank = (uint64(1) << (64 - ctrBits)) - 1
 )
 
-// rankSpace allocates entity ranks. A standalone engine owns a private
-// space; every engine of a Domain shares the Domain's, so an entity's
-// rank depends only on construction order — not on which shard it
-// landed on.
-type rankSpace struct {
-	seed uint64
-	next uint64
-}
-
-func (r *rankSpace) alloc() uint64 {
-	rank := r.next
-	if rank > maxRank {
-		panic(fmt.Sprintf("sim: rank space exhausted (%d entities)", rank))
-	}
-	r.next++
-	return rank
-}
-
 // procRNG derives the deterministic per-entity PRNG for rank. The
-// stream depends only on (space seed, rank): a fabric built serial and
-// a fabric built sharded hand every entity the same stream.
+// stream depends only on (engine seed, rank).
 func procRNG(seed, rank uint64) *rand.Rand {
 	s := seed + rank*0x9e3779b97f4a7c15
 	return rand.New(rand.NewPCG(s, s^0x6a09e667f3bcc909))
 }
 
-// Sched is the scheduling surface shared by Engine (root stream),
-// Proc (one entity's stream on one shard) and Domain (the exclusive,
-// all-shard stream). Protocol code programs against whichever it is
-// handed; the choice decides which RNG stream the code draws from and
-// which tie-break rank its events carry.
+// Sched is the scheduling surface shared by Engine (root stream) and
+// Proc (one entity's stream). Protocol code programs against whichever
+// it is handed; the choice decides which RNG stream the code draws from
+// and which tie-break rank its events carry.
 type Sched interface {
 	// Now returns the current virtual time.
 	Now() time.Duration
@@ -72,17 +51,11 @@ type Sched interface {
 }
 
 // Proc is one simulated entity's scheduling identity: a tie-break rank,
-// an event counter, and a private PRNG stream, bound to the engine
-// (shard) the entity lives on. Everything a node schedules or draws
-// through its Proc is independent of every other entity, which is what
-// makes a sharded run byte-identical to a serial one — the interleaving
-// of *other* entities' work can no longer perturb this entity's timers,
-// coins, or tie-breaks.
-//
-// A Proc is single-owner: only code running on its engine's shard may
-// call its methods (the one exception is the link-direction Proc, whose
-// counter is advanced by the transmitting shard while its RNG is drawn
-// by the receiving shard — disjoint fields, disjoint phases).
+// an event counter, and a private PRNG stream, bound to the engine the
+// entity lives on. Everything a node schedules or draws through its
+// Proc is independent of every other entity: the interleaving of
+// *other* entities' work cannot perturb this entity's timers, coins,
+// or tie-breaks.
 type Proc struct {
 	eng  *Engine
 	rank uint64
@@ -90,15 +63,16 @@ type Proc struct {
 	rng  *rand.Rand
 }
 
-// NewProc allocates the next entity rank in this engine's rank space
-// (the Domain's space, for a Domain engine) and binds it to the engine.
+// NewProc allocates the next entity rank in construction order and
+// binds it to the engine.
 func (e *Engine) NewProc() *Proc {
-	rank := e.ranks.alloc()
-	return &Proc{eng: e, rank: rank, rng: procRNG(e.ranks.seed, rank)}
+	rank := e.nextRank
+	if rank > maxRank {
+		panic(fmt.Sprintf("sim: rank space exhausted (%d entities)", rank))
+	}
+	e.nextRank++
+	return &Proc{eng: e, rank: rank, rng: procRNG(e.seed, rank)}
 }
-
-// Engine returns the engine (shard) this Proc schedules on.
-func (p *Proc) Engine() *Engine { return p.eng }
 
 // Now returns the current virtual time of the Proc's engine.
 func (p *Proc) Now() time.Duration { return p.eng.now }

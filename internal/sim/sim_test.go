@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -24,17 +25,38 @@ func TestEngineOrdering(t *testing.T) {
 	}
 }
 
+// TestEngineTieBreakIsInsertionOrder pins the tie-break at one instant:
+// root-stream events run in insertion order, and Proc events run in key
+// order — a driver stream allocated first (rank 1) runs before a later
+// entity whatever order they were scheduled in, each in its own issue
+// order, and all of them after the root stream (rank 0).
 func TestEngineTieBreakIsInsertionOrder(t *testing.T) {
-	e := New(1)
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(time.Millisecond, func() { order = append(order, i) })
+	cases := []struct {
+		name     string
+		schedule func(e *Engine, log func(int) func())
+		want     []int
+	}{
+		{"root", func(e *Engine, log func(int) func()) {
+			for i := 0; i < 10; i++ {
+				e.Schedule(time.Millisecond, log(i))
+			}
+		}, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
+		{"driver-and-entity", func(e *Engine, log func(int) func()) {
+			drv, ent := e.NewProc(), e.NewProc()
+			ent.Schedule(time.Millisecond, log(3))
+			drv.ScheduleAt(time.Millisecond, log(1))
+			ent.ScheduleAt(time.Millisecond, log(4))
+			e.Schedule(time.Millisecond, log(0))
+			drv.NewTimer(log(2)).Reset(time.Millisecond)
+		}, []int{0, 1, 2, 3, 4}},
 	}
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("tie broken out of insertion order: %v", order)
+	for _, c := range cases {
+		e := New(1)
+		var order []int
+		c.schedule(e, func(i int) func() { return func() { order = append(order, i) } })
+		e.Run()
+		if fmt.Sprint(order) != fmt.Sprint(c.want) {
+			t.Errorf("%s: same-instant order %v, want %v", c.name, order, c.want)
 		}
 	}
 }
@@ -68,14 +90,71 @@ func TestRunUntilAdvancesClock(t *testing.T) {
 	}
 }
 
+// TestDomainClockParking: when the queue empties before the deadline,
+// RunUntil parks the clock at the deadline, and a repeated call with
+// the same deadline leaves it there; Proc streams read the same clock.
+func TestDomainClockParking(t *testing.T) {
+	e := New(3)
+	drv, ent := e.NewProc(), e.NewProc()
+	arrived := false
+	drv.Schedule(500*time.Microsecond, func() {
+		ent.Schedule(time.Millisecond, func() { arrived = true })
+	})
+	for _, deadline := range []time.Duration{2 * time.Millisecond, 7 * time.Millisecond, 7 * time.Millisecond} {
+		e.RunUntil(deadline)
+		if !arrived || e.Pending() != 0 {
+			t.Fatalf("arrived=%v pending=%d at %v, want the chain drained", arrived, e.Pending(), deadline)
+		}
+		for _, now := range []time.Duration{e.Now(), drv.Now(), ent.Now()} {
+			if now != deadline {
+				t.Fatalf("clock = %v, want it parked at %v", now, deadline)
+			}
+		}
+	}
+}
+
+// TestDomainExclusiveDeadline: on the driver stream (the first Proc, as
+// core.Build allocates it) RunUntil is inclusive at the deadline — the
+// event stamped at the deadline fires and one a nanosecond later stays
+// queued until the next call.
+func TestDomainExclusiveDeadline(t *testing.T) {
+	e := New(9)
+	drv := e.NewProc()
+	e.NewProc()
+	var fired []time.Duration
+	drv.ScheduleAt(5*time.Millisecond, func() { fired = append(fired, e.Now()) })
+	drv.ScheduleAt(5*time.Millisecond+1, func() { fired = append(fired, e.Now()) })
+	e.RunUntil(5 * time.Millisecond)
+	if len(fired) != 1 || fired[0] != 5*time.Millisecond {
+		t.Fatalf("fired = %v, want exactly the deadline-stamped event", fired)
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("pending = %d, want the past-deadline event still queued", e.Pending())
+	}
+	e.RunUntil(6 * time.Millisecond)
+	if len(fired) != 2 || fired[1] != 5*time.Millisecond+1 {
+		t.Fatalf("past-deadline event never fired at its time: %v", fired)
+	}
+}
+
 func TestNegativeDelayClamped(t *testing.T) {
 	e := New(1)
+	p := e.NewProc()
 	e.RunUntil(time.Second)
-	ran := false
-	e.Schedule(-5*time.Second, func() { ran = true })
+	var at []time.Duration
+	stamp := func() { at = append(at, e.Now()) }
+	e.Schedule(-5*time.Second, stamp)
+	e.ScheduleAt(time.Millisecond, stamp)
+	p.Schedule(-5*time.Second, stamp)
+	p.ScheduleAt(time.Millisecond, stamp)
 	e.Run()
-	if !ran || e.Now() != time.Second {
-		t.Fatal("negative delay must run now, not in the past")
+	if len(at) != 4 || e.Now() != time.Second {
+		t.Fatalf("ran %d of 4 events, clock %v", len(at), e.Now())
+	}
+	for i, got := range at {
+		if got != time.Second {
+			t.Fatalf("event %d ran at %v: a past time must run now, not in the past", i, got)
+		}
 	}
 }
 

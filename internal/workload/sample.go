@@ -10,8 +10,8 @@ import (
 // The trace samplers are pure functions of (seed, flow index): every
 // draw hashes the pair instead of advancing a shared PRNG stream, so a
 // flow's size, start time, and endpoints do not depend on evaluation
-// order. That is what lets a sharded or parallel run build the exact
-// trace a serial run builds, and lets tests replay any single flow
+// order. That is what lets a parallel run build the exact trace a
+// serial run builds, and lets tests replay any single flow
 // without generating its predecessors.
 
 // Distinct draw streams per flow, so e.g. the size draw and the

@@ -52,7 +52,7 @@ func digestSpec(h func([]byte), sp FlowSpec) {
 // The samplers are pure in (seed, index): evaluating flows in shuffled
 // order, or concurrently from many goroutines, must produce the exact
 // specs in-order evaluation produces. This is the property that makes
-// a trace identical across serial, sharded, and parallel runs.
+// a trace identical across serial and parallel runs.
 func TestSamplersPureInSeedAndIndex(t *testing.T) {
 	pl := tracePlacement(t, 8)
 	cfg := testCfg(7, 4096)

@@ -21,8 +21,7 @@ import (
 // and the end-to-end echo gate enforce.
 //
 // Counters are striped per host and written only from that host's
-// engine stream, so a trace spanning engine shards stays race-free and
-// byte-identical to a serial run.
+// scheduling stream.
 type Trace struct {
 	Specs []FlowSpec
 
@@ -93,7 +92,7 @@ func StartTrace(cfg TraceConfig, place Placement, hosts []*host.Host) *Trace {
 		}
 	}
 	if len(hosts) > 0 {
-		t.epoch = hosts[0].Sim().Now() // virtual time is global across shards here
+		t.epoch = hosts[0].Sim().Now()
 	}
 	for h := range hosts {
 		evs := t.events[h]

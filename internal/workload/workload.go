@@ -59,10 +59,8 @@ type CBR struct {
 
 // StartCBR begins a probe flow from src to dst at the given packet
 // interval. Stop it with Stop. The sender's ticker runs on src's own
-// scheduling stream and arrivals are stamped with dst's clock, so a
-// flow whose endpoints live on different engine shards touches only
-// state each shard owns — and a sharded run records byte-identical
-// timelines to a serial one.
+// scheduling stream, so other entities' activity cannot shift its
+// ticks.
 //
 // Every probe is byte-identical, so the packet is built once and each
 // tick sends a pool-backed frame sharing it — payloads are immutable
