@@ -14,12 +14,14 @@ check: vet build docs-lint test race fuzz bench bench-alloc bench-gate bench-mgr
 
 # Documentation gate: every exported identifier in the observability
 # surface (obs, metrics, trace), the workload/topology/control-message
-# layers and the hardware-model packages must carry a doc comment that
-# opens with the identifier's name (docslint also catches comments that
-# survived a rename).
+# layers, the hardware-model packages, the fabric manager, the engine,
+# the control transport and the fabric builder must carry a doc comment
+# that opens with the identifier's name (docslint also catches comments
+# that survived a rename).
 docs-lint:
 	$(GO) run ./cmd/docslint ./internal/obs ./internal/metrics ./internal/trace \
-		./internal/workload ./internal/topo ./internal/ctrlmsg ./internal/flowtable
+		./internal/workload ./internal/topo ./internal/ctrlmsg ./internal/flowtable \
+		./internal/fabricmgr ./internal/sim ./internal/ctrlnet ./internal/core
 
 # Report-schema gate alone (also runs as part of `make test`): the
 # checked-in Fig. 9 and scenario-replay reports must round-trip

@@ -97,6 +97,11 @@ func BenchmarkMgrARPThroughput(b *testing.B) {
 // axis pins the design claim that prefix-sharding the registry leaves
 // fault convergence untaxed: shard 0 alone carries the fault matrix,
 // so the cost must stay flat as shards grow.
+//
+// The k axis runs the same cycle on a bare manager fed the full
+// adjacency of topo.FatTree(k) (k=48 is the paper's 27,648-host
+// target, 55,296 switch links): recompute cost must follow the
+// switches' degree, not the size of the link table.
 func BenchmarkFaultFanout(b *testing.B) {
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -110,6 +115,22 @@ func BenchmarkFaultFanout(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(shards), "shards")
+			b.ReportMetric(float64(r.m.Stats.ExclusionsSet)/float64(b.N), "excl/op")
+		})
+	}
+	for _, k := range []int{16, 48} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			r := newFatTreeRig(b, k,
+				func(ctrlmsg.SwitchID) ctrlnet.Conn { return benchConn{} },
+				func(ctrlmsg.SwitchID) bool { return false })
+			l := r.aggCoreLink()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.flip(l, true)
+				r.flip(l, false)
+			}
+			b.StopTimer()
 			b.ReportMetric(float64(r.m.Stats.ExclusionsSet)/float64(b.N), "excl/op")
 		})
 	}

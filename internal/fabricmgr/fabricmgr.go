@@ -166,10 +166,26 @@ type Manager struct {
 	deltaBuf  []exclDelta
 	keyBuf    []exclKey
 	targetBuf []ctrlmsg.SwitchID
+	// nbrBuf backs every neighbour list one recompute hands out; it is
+	// rewound at the start of each recompute.
+	nbrBuf []peerLink
 
 	ips map[netip.Addr]hostRecord
 
 	links map[pairKey]*linkState
+	// adj indexes links by endpoint: each switch's incident links,
+	// sorted by peer ID. handleFault is its only writer, and links are
+	// never deleted, so a neighbour query costs O(degree).
+	adj map[ctrlmsg.SwitchID][]*linkState
+
+	// routesDirty is set whenever an input of recomputeRoutes changes:
+	// a link appears or flips up() (handleFault), a location changes
+	// (noteLoc), a switch ID binds its first session (Session.Handle's
+	// Hello), or the installed exclusion view is reset (BeginResync).
+	// The desired exclusion set is a pure function of those inputs, so
+	// a trigger that finds the flag clear would emit nothing and is
+	// skipped. Any new writer of links, locs, conns or excl must set it.
+	routesDirty bool
 
 	excl map[ctrlmsg.SwitchID]map[exclKey]bool
 
@@ -235,6 +251,7 @@ func New() *Manager {
 		locs:   make(map[ctrlmsg.SwitchID]ctrlmsg.Loc),
 		ips:    make(map[netip.Addr]hostRecord),
 		links:  make(map[pairKey]*linkState),
+		adj:    make(map[ctrlmsg.SwitchID][]*linkState),
 		excl:   make(map[ctrlmsg.SwitchID]map[exclKey]bool),
 		groups: make(map[uint32]*group),
 		leases: make(map[ether.Addr]netip.Addr),
@@ -291,6 +308,9 @@ func (s *Session) Handle(msg ctrlmsg.Msg) {
 	if h, ok := msg.(ctrlmsg.Hello); ok {
 		s.id = h.Switch
 		s.have = true
+		if _, bound := m.conns[h.Switch]; !bound {
+			m.routesDirty = true // exclusions held back for it can now be pushed
+		}
 		m.conns[h.Switch] = s.conn
 		return
 	}
@@ -596,6 +616,9 @@ func (m *Manager) handleFault(v ctrlmsg.FaultNotify) {
 	if !ok {
 		l = &linkState{lo: key.lo, hi: key.hi, loPort: -1, hiPort: -1, loUp: true, hiUp: true}
 		m.links[key] = l
+		m.indexLink(l.lo, l)
+		m.indexLink(l.hi, l)
+		m.routesDirty = true
 	}
 	wasUp := l.up()
 	if v.Switch == l.lo {
@@ -606,6 +629,7 @@ func (m *Manager) handleFault(v ctrlmsg.FaultNotify) {
 		l.hiUp = !v.Down
 	}
 	if wasUp != l.up() {
+		m.routesDirty = true
 		if l.up() {
 			m.downLinks--
 			m.jou.Record(obs.MgrLinkUp, uint64(l.lo), uint64(l.hi), 0, 0)
@@ -702,12 +726,13 @@ func (m *Manager) Locations() map[ctrlmsg.SwitchID]ctrlmsg.Loc {
 // noteLoc is the single write path into the location table; it keeps
 // the sorted-ID caches coherent. A brand-new switch dirties both
 // lists; a level transition (switch replaced/recovered into another
-// role) dirties the edge list.
+// role) dirties the edge list. Any real change dirties the routes.
 func (m *Manager) noteLoc(id ctrlmsg.SwitchID, loc ctrlmsg.Loc) {
 	old, known := m.locs[id]
 	if known && old == loc {
 		return
 	}
+	m.routesDirty = true
 	if !known {
 		m.idsDirty = true
 		m.edgesDirty = true
@@ -750,16 +775,27 @@ func (m *Manager) edgeSwitchIDs() []ctrlmsg.SwitchID {
 	return m.edgeIDs
 }
 
-// linksOf returns the graph edges incident to id, sorted by peer.
-func (m *Manager) linksOf(id ctrlmsg.SwitchID) []*linkState {
-	var out []*linkState
-	for _, l := range m.links {
-		if l.lo == id || l.hi == id {
-			out = append(out, l)
-		}
+// linksOf returns the graph edges incident to id, sorted by peer. The
+// returned slice is the adjacency index itself; callers must not
+// mutate or retain it across manager calls.
+func (m *Manager) linksOf(id ctrlmsg.SwitchID) []*linkState { return m.adj[id] }
+
+// indexLink inserts l into id's peer-sorted adjacency list.
+func (m *Manager) indexLink(id ctrlmsg.SwitchID, l *linkState) {
+	ls := append(m.adj[id], nil)
+	peer := l.other(id)
+	i := len(ls) - 1
+	for ; i > 0 && ls[i-1].other(id) > peer; i-- {
+		ls[i] = ls[i-1]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].other(id) < out[j].other(id) })
-	return out
+	ls[i] = l
+	m.adj[id] = ls
+}
+
+// peerLink is one neighbour of a switch and the link that reaches it.
+type peerLink struct {
+	id ctrlmsg.SwitchID
+	l  *linkState
 }
 
 // isCore/isAgg/isEdge classify by the last reported location.
@@ -785,7 +821,14 @@ func (m *Manager) level(id ctrlmsg.SwitchID) uint8 { return m.locs[id].Level }
 // Exclusions are derived only from observed faults: unknown adjacency
 // is assumed healthy, so an incompletely-discovered fabric never
 // blackholes itself.
+//
+// A trigger that finds routesDirty clear returns at once: none of the
+// inputs changed since the last run, whose result is installed.
 func (m *Manager) recomputeRoutes() {
+	if !m.routesDirty {
+		return
+	}
+	m.routesDirty = false
 	// Fast path: a healthy fault matrix implies an empty exclusion
 	// set; if none are installed either, there is nothing to diff.
 	// This is what keeps the manager O(1) under the storm of
@@ -819,6 +862,7 @@ func (m *Manager) recomputeRoutes() {
 		}
 	}
 
+	// linkState2 looks up a link not already in hand.
 	linkState2 := func(a, b ctrlmsg.SwitchID) (up, known bool) {
 		l, ok := m.links[mkPair(a, b)]
 		if !ok {
@@ -826,16 +870,18 @@ func (m *Manager) recomputeRoutes() {
 		}
 		return l.up(), true
 	}
-	// Per-switch sorted neighbor lists by level.
-	neighborsOf := func(id ctrlmsg.SwitchID, level uint8) []ctrlmsg.SwitchID {
-		var out []ctrlmsg.SwitchID
-		for _, l := range m.linksOf(id) {
-			n := l.other(id)
-			if m.level(n) == level {
-				out = append(out, n)
+	// neighborsOf lists id's neighbours at level in peer order, each
+	// with the link that reaches it. The lists share m.nbrBuf: appends
+	// past a list's end, or into a regrown array, leave it intact.
+	nbrs := m.nbrBuf[:0]
+	neighborsOf := func(id ctrlmsg.SwitchID, level uint8) []peerLink {
+		start, links := len(nbrs), m.linksOf(id)
+		for _, l := range links {
+			if n := l.other(id); m.level(n) == level {
+				nbrs = append(nbrs, peerLink{n, l})
 			}
 		}
-		return out
+		return nbrs[start:len(nbrs):len(nbrs)]
 	}
 
 	type podPos struct {
@@ -846,16 +892,17 @@ func (m *Manager) recomputeRoutes() {
 	coreReachPod := make(map[ctrlmsg.SwitchID]map[uint16]bool)
 	coreReachPos := make(map[ctrlmsg.SwitchID]map[podPos]bool)
 	for _, c := range cores {
-		aggsByPod := make(map[uint16][]ctrlmsg.SwitchID)
+		aggsByPod := make(map[uint16][]peerLink)
 		for _, a := range neighborsOf(c, ctrlmsg.LevelAggregation) {
-			aggsByPod[m.locs[a].Pod] = append(aggsByPod[m.locs[a].Pod], a)
+			pod := m.locs[a.id].Pod
+			aggsByPod[pod] = append(aggsByPod[pod], a)
 		}
 		coreReachPod[c] = make(map[uint16]bool)
 		coreReachPos[c] = make(map[podPos]bool)
 		for pod, as := range aggsByPod {
 			anyUp := false
 			for _, a := range as {
-				if up, _ := linkState2(c, a); up {
+				if a.l.up() {
 					anyUp = true
 					break
 				}
@@ -865,11 +912,10 @@ func (m *Manager) recomputeRoutes() {
 				q := m.locs[e].Pos
 				reach := false
 				for _, a := range as {
-					cu, _ := linkState2(c, a)
-					if !cu {
+					if !a.l.up() {
 						continue
 					}
-					if up, known := linkState2(a, e); up || !known {
+					if up, known := linkState2(a.id, e); up || !known {
 						reach = true
 						break
 					}
@@ -887,8 +933,8 @@ func (m *Manager) recomputeRoutes() {
 				continue
 			}
 			for _, n := range neigh {
-				if m.locs[n].Pod != pod {
-					add(n, exclKey{via: c, pod: pod, pos: ctrlmsg.AnyPos})
+				if m.locs[n.id].Pod != pod {
+					add(n.id, exclKey{via: c, pod: pod, pos: ctrlmsg.AnyPos})
 				}
 			}
 		}
@@ -897,8 +943,8 @@ func (m *Manager) recomputeRoutes() {
 				continue // pod-wide exclusion already covers it
 			}
 			for _, n := range neigh {
-				if m.locs[n].Pod != pp.pod {
-					add(n, exclKey{via: c, pod: pp.pod, pos: pp.pos})
+				if m.locs[n.id].Pod != pp.pod {
+					add(n.id, exclKey{via: c, pod: pp.pod, pos: pp.pos})
 				}
 			}
 		}
@@ -930,14 +976,14 @@ func (m *Manager) recomputeRoutes() {
 			}
 			podReach := false
 			for _, c := range coreLinks {
-				if up, _ := linkState2(x, c); up && corePodReach(c, pod) {
+				if c.l.up() && corePodReach(c.id, pod) {
 					podReach = true
 					break
 				}
 			}
 			if !podReach {
 				for _, e := range edgesBelow {
-					add(e, exclKey{via: x, pod: pod, pos: ctrlmsg.AnyPos})
+					add(e.id, exclKey{via: x, pod: pod, pos: ctrlmsg.AnyPos})
 				}
 				continue
 			}
@@ -945,14 +991,14 @@ func (m *Manager) recomputeRoutes() {
 				q := m.locs[dst].Pos
 				reach := false
 				for _, c := range coreLinks {
-					if up, _ := linkState2(x, c); up && corePosReach(c, podPos{pod, q}) {
+					if c.l.up() && corePosReach(c.id, podPos{pod, q}) {
 						reach = true
 						break
 					}
 				}
 				if !reach {
 					for _, e := range edgesBelow {
-						add(e, exclKey{via: x, pod: pod, pos: q})
+						add(e.id, exclKey{via: x, pod: pod, pos: q})
 					}
 				}
 			}
@@ -1035,6 +1081,7 @@ func (m *Manager) recomputeRoutes() {
 	}
 	m.targetBuf = tids[:0]
 	m.deltaBuf = deltas[:0]
+	m.nbrBuf = nbrs[:0]
 	m.excl = desired
 }
 

@@ -202,7 +202,8 @@ func (m *Manager) pickPodAgg(pod uint16, edges []ctrlmsg.SwitchID, _ uint32, _ u
 
 // pickPodAggViaCore additionally requires a live link from core c.
 func (m *Manager) pickPodAggViaCore(c ctrlmsg.SwitchID, pod uint16, edges []ctrlmsg.SwitchID, up func(a, b ctrlmsg.SwitchID) bool) (ctrlmsg.SwitchID, bool) {
-	for _, l := range m.linksOf(c) {
+	links := m.linksOf(c)
+	for _, l := range links {
 		a := l.other(c)
 		if m.level(a) != ctrlmsg.LevelAggregation || m.locs[a].Pod != pod {
 			continue

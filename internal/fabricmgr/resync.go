@@ -80,6 +80,7 @@ func (m *Manager) BeginResync(epoch uint32, conns []ctrlnet.Conn) {
 	// a promoted standby inherits a mirror's bookkeeping and must not
 	// trust it.
 	m.excl = make(map[ctrlmsg.SwitchID]map[exclKey]bool)
+	m.routesDirty = true
 	for _, g := range m.groups {
 		g.installed = make(map[ctrlmsg.SwitchID][]uint8)
 	}
